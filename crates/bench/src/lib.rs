@@ -25,9 +25,8 @@
 //! | `mc_replication` | E18 (perf) — deterministic parallel replication engine: traced vs fast-path campaign cells, worker fan-out with in-bench bit-identity assertion, JSON |
 //! | `serve_bench` | E21 (serving) — networked frontend over the wire: worker×shard scaling matrix with per-shard contention counters, open-loop (coordinated-omission-free) latency quantiles, snapshot warm-start, JSON |
 //!
-//! The Criterion benches (`benches/`) measure the computational substrates
-//! themselves (kernel, SAN solvers, WLS, analytic evaluation, protocol
-//! episodes).
+//! The repo benchmark (`perfbench/`, its own workspace) times the query
+//! and episode paths end to end and per layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! hold at most a few thousand entries and the cached values cost
 //! milliseconds to recompute, so a linked-list LRU would be complexity
 //! without measurable payoff. Not internally synchronised — the engine
-//! wraps it in a [`parking_lot::Mutex`].
+//! wraps it in a [`std::sync::Mutex`].
 
 use std::collections::HashMap;
 use std::hash::Hash;

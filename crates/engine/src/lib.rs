@@ -69,6 +69,7 @@ pub mod singleflight;
 pub mod tenant;
 pub mod workload;
 
+mod lock;
 mod worker;
 
 pub use engine::{CacheStatsSnapshot, Engine, EngineConfig, Ticket};

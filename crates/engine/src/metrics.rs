@@ -1,13 +1,16 @@
 //! Per-engine observability: admission, cache and latency counters.
 //!
-//! Counters live behind one [`parking_lot::Mutex`] and are mutated on the
+//! Counters live behind one [`std::sync::Mutex`] and are mutated on the
 //! hot paths (submission, worker batch, completion); [`Metrics::snapshot`]
 //! clones a consistent view out. Aggregates reuse `oaq-sim`'s statistics
 //! accumulators ([`Tally`], [`P2Quantile`]) rather than reinventing
 //! streaming moments and percentiles.
 
+use std::sync::Mutex;
+
 use oaq_sim::stats::{Counter, P2Quantile, Tally};
-use parking_lot::Mutex;
+
+use crate::lock::lock_ignore_poison;
 
 /// A P² quantile estimator hardened against pathological inputs.
 ///
@@ -171,12 +174,12 @@ impl Metrics {
 
     /// A query was admitted into the queue.
     pub fn on_submitted(&self) {
-        self.inner.lock().submitted.increment();
+        lock_ignore_poison(&self.inner).submitted.increment();
     }
 
     /// A query was turned away at admission.
     pub fn on_rejected(&self) {
-        self.inner.lock().rejected.increment();
+        lock_ignore_poison(&self.inner).rejected.increment();
     }
 
     /// A query was answered directly — computed by a worker or served from
@@ -184,93 +187,95 @@ impl Metrics {
     /// [`Self::on_coalesced`] instead, so once the queue drains,
     /// `submitted == served + coalesced`.
     pub fn on_served(&self) {
-        self.inner.lock().served.increment();
+        lock_ignore_poison(&self.inner).served.increment();
     }
 
     /// A query was answered straight from the completed-result cache.
     pub fn on_result_cache_hit(&self) {
-        self.inner.lock().result_cache_hits.increment();
+        lock_ignore_poison(&self.inner)
+            .result_cache_hits
+            .increment();
     }
 
     /// A query joined an identical in-flight computation instead of
     /// starting its own.
     pub fn on_coalesced(&self) {
-        self.inner.lock().coalesced.increment();
+        lock_ignore_poison(&self.inner).coalesced.increment();
     }
 
     /// A capacity CTMC solve actually ran.
     pub fn on_pk_solve(&self) {
-        self.inner.lock().pk_solves.increment();
+        lock_ignore_poison(&self.inner).pk_solves.increment();
     }
 
     /// A capacity distribution was reused from the `P(k)` cache.
     pub fn on_pk_cache_hit(&self) {
-        self.inner.lock().pk_cache_hits.increment();
+        lock_ignore_poison(&self.inner).pk_cache_hits.increment();
     }
 
     /// A worker caught a panic while evaluating a query; the query's
     /// waiters received [`crate::QueryError::EvalPanicked`].
     pub fn on_eval_panic(&self) {
-        self.inner.lock().eval_panics.increment();
+        lock_ignore_poison(&self.inner).eval_panics.increment();
     }
 
     /// The supervisor replaced a dead worker, healing the pool back to
     /// its configured size.
     pub fn on_worker_respawn(&self) {
-        self.inner.lock().worker_respawns.increment();
+        lock_ignore_poison(&self.inner).worker_respawns.increment();
     }
 
     /// A query's serving deadline expired (shed at dequeue or detected
     /// after the solve); its waiters received
     /// [`crate::QueryError::DeadlineExceeded`].
     pub fn on_deadline_expired(&self) {
-        self.inner.lock().deadline_expired.increment();
+        lock_ignore_poison(&self.inner).deadline_expired.increment();
     }
 
     /// A submission was rejected by a per-tenant quota (rate or queue
     /// share). Also counted under [`Self::on_rejected`].
     pub fn on_quota_rejected(&self) {
-        self.inner.lock().quota_rejected.increment();
+        lock_ignore_poison(&self.inner).quota_rejected.increment();
     }
 
     /// A submission was shed by the SLO breach controller. Also counted
     /// under [`Self::on_rejected`].
     pub fn on_shed(&self) {
-        self.inner.lock().shed.increment();
+        lock_ignore_poison(&self.inner).shed.increment();
     }
 
     /// The current end-to-end p99 latency estimate, seconds — the SLO
     /// shedder's input. `None` until five finite observations.
     #[must_use]
     pub fn e2e_p99(&self) -> Option<f64> {
-        self.inner.lock().end_to_end.p99.estimate()
+        lock_ignore_poison(&self.inner).end_to_end.p99.estimate()
     }
 
     /// A worker drained a batch of `n` queries.
     pub fn on_batch(&self, n: usize) {
         #[allow(clippy::cast_precision_loss)]
-        self.inner.lock().batch_sizes.record(n as f64);
+        lock_ignore_poison(&self.inner).batch_sizes.record(n as f64);
     }
 
     /// Records the time a query spent queued before a worker picked it up.
     pub fn record_queue_wait(&self, seconds: f64) {
-        self.inner.lock().queue_wait.record(seconds);
+        lock_ignore_poison(&self.inner).queue_wait.record(seconds);
     }
 
     /// Records the pure compute time of one query.
     pub fn record_solve(&self, seconds: f64) {
-        self.inner.lock().solve.record(seconds);
+        lock_ignore_poison(&self.inner).solve.record(seconds);
     }
 
     /// Records submission-to-answer latency of one query.
     pub fn record_end_to_end(&self, seconds: f64) {
-        self.inner.lock().end_to_end.record(seconds);
+        lock_ignore_poison(&self.inner).end_to_end.record(seconds);
     }
 
     /// A consistent copy of every counter and latency aggregate.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = lock_ignore_poison(&self.inner);
         MetricsSnapshot {
             submitted: inner.submitted.count(),
             served: inner.served.count(),

@@ -4,19 +4,13 @@
 //! blocks and returns a typed rejection when the queue is at capacity —
 //! the caller decides whether to retry, shed, or block on its own terms.
 //! Workers drain in batches to amortise lock traffic. Built on
-//! `std::sync::{Mutex, Condvar}` (the vendored `parking_lot` has no
-//! condition variable).
+//! `std::sync::{Mutex, Condvar}`.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 
 use crate::error::RejectReason;
-
-/// Locks, recovering from poisoning: a worker that panicked while
-/// touching the queue must not wedge every other submitter and worker.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use crate::lock::{lock_ignore_poison, wait_ignore_poison};
 
 /// A bounded MPMC queue: non-blocking bounded push, blocking batched pop.
 #[derive(Debug)]
@@ -95,10 +89,7 @@ impl<T> SubmitQueue<T> {
             if inner.shutdown {
                 return Vec::new();
             }
-            inner = self
-                .nonempty
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner = wait_ignore_poison(&self.nonempty, inner);
         }
     }
 

@@ -26,9 +26,10 @@
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::MutexGuard;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::cache::LruCache;
+use crate::lock::{lock_ignore_poison, try_lock_ignore_poison};
 use crate::singleflight::{Flight, SingleFlight, Slot};
 
 /// Resolves a shard-count knob: `0` means `default`, anything else is
@@ -84,7 +85,7 @@ pub struct CacheShardStats {
 /// One independently locked cache shard with its own counters.
 #[derive(Debug)]
 struct CacheShard<K, V> {
-    map: parking_lot::Mutex<LruCache<K, V>>,
+    map: Mutex<LruCache<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -95,11 +96,11 @@ impl<K: Eq + Hash + Copy, V: Clone> CacheShard<K, V> {
     /// Locks the shard, counting the acquisition as contended when the
     /// mutex was already held.
     fn lock(&self) -> MutexGuard<'_, LruCache<K, V>> {
-        if let Some(guard) = self.map.try_lock() {
+        if let Some(guard) = try_lock_ignore_poison(&self.map) {
             return guard;
         }
         self.contended.fetch_add(1, Ordering::Relaxed);
-        self.map.lock()
+        lock_ignore_poison(&self.map)
     }
 }
 
@@ -130,7 +131,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
         ShardedCache {
             shards: (0..shards)
                 .map(|_| CacheShard {
-                    map: parking_lot::Mutex::new(LruCache::new(per_shard)),
+                    map: Mutex::new(LruCache::new(per_shard)),
                     hits: AtomicU64::new(0),
                     misses: AtomicU64::new(0),
                     inserts: AtomicU64::new(0),
@@ -169,7 +170,10 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
     /// Total entries across every shard.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_ignore_poison(&s.map).len())
+            .sum()
     }
 
     /// Whether every shard is empty.
@@ -194,7 +198,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
                 misses: s.misses.load(Ordering::Relaxed),
                 inserts: s.inserts.load(Ordering::Relaxed),
                 contended: s.contended.load(Ordering::Relaxed),
-                entries: s.map.lock().len() as u64,
+                entries: lock_ignore_poison(&s.map).len() as u64,
             })
             .collect()
     }
@@ -203,7 +207,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
     /// unspecified) — the snapshot export path.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for shard in &self.shards {
-            let map = shard.map.lock();
+            let map = lock_ignore_poison(&shard.map);
             for (k, v) in map.iter() {
                 f(k, v);
             }
@@ -313,6 +317,31 @@ mod tests {
         let inserts: u64 = stats.iter().map(|s| s.inserts).sum();
         let entries: u64 = stats.iter().map(|s| s.entries).sum();
         assert_eq!((hits, misses, inserts, entries), (1, 1, 2, 2));
+    }
+
+    #[test]
+    fn poisoned_shard_keeps_serving() {
+        let c = ShardedCache::<u64, u64>::new(16, 1);
+        c.insert(1, 10);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = c.shards[0].map.lock();
+                panic!("shard holder dies");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(c.shards[0].map.is_poisoned());
+        assert_eq!(c.get(&1), Some(10));
+        c.insert(2, 20);
+        assert_eq!(c.get(&2), Some(20));
+        assert_eq!(c.len(), 2);
+        let stats = c.stats();
+        assert_eq!(
+            (stats[0].hits, stats[0].inserts, stats[0].entries),
+            (2, 2, 2)
+        );
+        assert_eq!(stats[0].contended, 0, "a poisoned lock counts as acquired");
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! submission indices for the same latency history — no wall-clock
 //! entropy enters the decision itself.
 
+use std::sync::Mutex;
+
 use oaq_sim::SimRng;
-use parking_lot::Mutex;
+
+use crate::lock::lock_ignore_poison;
 
 /// Shedder tuning. `Default` disables shedding (`slo_p99_s = ∞`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,7 +105,7 @@ impl Shedder {
         if !self.policy.is_enabled() {
             return false;
         }
-        let mut state = self.state.lock();
+        let mut state = lock_ignore_poison(&self.state);
         state.tick += 1;
         match p99_s {
             Some(p99) if p99 > self.policy.slo_p99_s => {
@@ -127,7 +130,7 @@ impl Shedder {
 
     /// The current shed probability (a gauge for metrics snapshots).
     pub(crate) fn probability(&self) -> f64 {
-        self.state.lock().probability
+        lock_ignore_poison(&self.state).probability
     }
 }
 

@@ -3,8 +3,7 @@
 //! When several submitted queries share a bit-exact key, exactly one
 //! worker computes the answer ("the leader") and every other submission
 //! blocks on a shared [`Slot`] until the leader publishes. Uses
-//! `std::sync::{Mutex, Condvar}` — the vendored `parking_lot` stand-in has
-//! no condition variable.
+//! `std::sync::{Mutex, Condvar}`.
 //!
 //! ## Fault tolerance
 //!
@@ -22,13 +21,9 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
-/// Locks, recovering the guard from a poisoned mutex — a panicking leader
-/// must not propagate panics into innocent followers.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use crate::lock::{lock_ignore_poison, wait_ignore_poison};
 
 /// The shared cell a coalesced computation publishes into.
 #[derive(Debug)]
@@ -75,12 +70,7 @@ impl<V: Clone> Slot<V> {
         let mut s = lock_ignore_poison(&self.state);
         loop {
             match &*s {
-                SlotState::Pending => {
-                    s = self
-                        .ready
-                        .wait(s)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                }
+                SlotState::Pending => s = wait_ignore_poison(&self.ready, s),
                 SlotState::Done(v) => return Some(v.clone()),
                 SlotState::Abandoned => return None,
             }

@@ -19,8 +19,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::lock::lock_ignore_poison;
 
 /// A tenant identity carried on every query. Tenant `0` is the default
 /// for embedders that do not care about multi-tenancy.
@@ -172,7 +173,7 @@ impl TenantTable {
         now_s: f64,
         f: impl FnOnce(&mut TenantState) -> R,
     ) -> R {
-        let mut map = self.tenants.lock();
+        let mut map = lock_ignore_poison(&self.tenants);
         let state = map.entry(tenant).or_insert_with(|| TenantState {
             bucket: TokenBucket::full(self.policy.burst, now_s),
             weight: 1.0,
@@ -238,7 +239,7 @@ impl TenantTable {
     /// worker dequeue, or on the submit path when the global queue push
     /// fails after the reservation.
     pub(crate) fn release_queue_slot(&self, tenant: TenantId) {
-        let mut map = self.tenants.lock();
+        let mut map = lock_ignore_poison(&self.tenants);
         if let Some(s) = map.get_mut(&tenant) {
             s.in_queue = s.in_queue.saturating_sub(1);
         }
@@ -251,7 +252,7 @@ impl TenantTable {
 
     /// Notes a worker-completed job for `tenant`.
     pub(crate) fn on_completed(&self, tenant: TenantId) {
-        let mut map = self.tenants.lock();
+        let mut map = lock_ignore_poison(&self.tenants);
         if let Some(s) = map.get_mut(&tenant) {
             s.counters.completed += 1;
         }
@@ -269,7 +270,7 @@ impl TenantTable {
 
     /// A consistent snapshot of every tenant seen so far, ordered by id.
     pub(crate) fn snapshot(&self) -> Vec<TenantSnapshot> {
-        let map = self.tenants.lock();
+        let map = lock_ignore_poison(&self.tenants);
         let mut rows: Vec<TenantSnapshot> = map
             .iter()
             .map(|(&tenant, s)| TenantSnapshot {

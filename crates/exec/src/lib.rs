@@ -272,10 +272,10 @@ impl Executor {
             let ranges = &ranges;
             let make_scratch = &make_scratch;
             let run = &run;
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut scratch = make_scratch();
                             let mut out: Vec<(u64, S)> = Vec::new();
                             while let Some(i) = claim_task(ranges, w) {
@@ -287,7 +287,6 @@ impl Executor {
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
             })
-            .expect("executor scope failed")
         };
 
         let mut pairs: Vec<(u64, S)> = Vec::with_capacity(usize::try_from(tasks).expect("fits"));
@@ -625,7 +624,12 @@ mod tests {
                 i
             })
         });
-        assert!(caught.is_err());
+        let payload = caught.expect_err("a worker panic must reach the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("poisoned task"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Addresses and message envelopes.
 
-use bytes::Bytes;
 use oaq_sim::SimTime;
 
 /// A network address (one satellite's crosslink endpoint).
@@ -49,74 +48,6 @@ impl<P> Envelope<P> {
     }
 }
 
-/// A compact wire encoding for payloads that cross a byte-oriented link
-/// (length-prefixed tag + body). Real crosslinks move frames, not Rust
-/// enums; this helper keeps a simulated payload honest about its size,
-/// which the bench harness uses to account link occupancy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WirePayload {
-    tag: u8,
-    body: Bytes,
-}
-
-impl WirePayload {
-    /// Creates a payload with a protocol `tag` and opaque `body`.
-    #[must_use]
-    pub fn new(tag: u8, body: impl Into<Bytes>) -> Self {
-        WirePayload {
-            tag,
-            body: body.into(),
-        }
-    }
-
-    /// The protocol tag.
-    #[must_use]
-    pub fn tag(&self) -> u8 {
-        self.tag
-    }
-
-    /// The opaque body.
-    #[must_use]
-    pub fn body(&self) -> &Bytes {
-        &self.body
-    }
-
-    /// Serialized size in bytes (1 tag byte + 4 length bytes + body).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        1 + 4 + self.body.len()
-    }
-
-    /// Encodes to bytes.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_size());
-        buf.push(self.tag);
-        buf.extend_from_slice(&(self.body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&self.body);
-        Bytes::from(buf)
-    }
-
-    /// Decodes from bytes.
-    ///
-    /// Returns `None` on truncated or inconsistent input.
-    #[must_use]
-    pub fn decode(bytes: &Bytes) -> Option<Self> {
-        if bytes.len() < 5 {
-            return None;
-        }
-        let tag = bytes[0];
-        let len = u32::from_be_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]) as usize;
-        if bytes.len() != 5 + len {
-            return None;
-        }
-        Some(WirePayload {
-            tag,
-            body: bytes.slice(5..),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,28 +76,6 @@ mod tests {
         let f = e.map(|p| p * 2);
         assert_eq!(f.payload, 10);
         assert_eq!(f.src, NodeId(1));
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let p = WirePayload::new(7, vec![1, 2, 3, 4]);
-        let decoded = WirePayload::decode(&p.encode()).unwrap();
-        assert_eq!(decoded, p);
-        assert_eq!(p.wire_size(), 9);
-    }
-
-    #[test]
-    fn wire_decode_rejects_garbage() {
-        assert!(WirePayload::decode(&Bytes::from_static(&[1, 2])).is_none());
-        let mut bad = WirePayload::new(1, vec![9; 3]).encode().to_vec();
-        bad.pop();
-        assert!(WirePayload::decode(&Bytes::from(bad)).is_none());
-    }
-
-    #[test]
-    fn empty_body_roundtrips() {
-        let p = WirePayload::new(0, Vec::new());
-        assert_eq!(WirePayload::decode(&p.encode()).unwrap(), p);
     }
 
     #[test]

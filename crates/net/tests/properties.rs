@@ -2,7 +2,6 @@
 
 use oaq_net::fault::FaultPlan;
 use oaq_net::link::LinkSpec;
-use oaq_net::message::WirePayload;
 use oaq_net::topology::Topology;
 use oaq_net::{Network, NodeId};
 use oaq_sim::{SimRng, SimTime};
@@ -27,13 +26,6 @@ proptest! {
             // 2 in-plane + up to 2 cross-plane.
             prop_assert!((2..=4).contains(&deg), "degree {deg}");
         }
-    }
-
-    #[test]
-    fn wire_payload_roundtrips(tag in any::<u8>(), body in prop::collection::vec(any::<u8>(), 0..256)) {
-        let p = WirePayload::new(tag, body);
-        let decoded = WirePayload::decode(&p.encode()).unwrap();
-        prop_assert_eq!(decoded, p);
     }
 
     #[test]

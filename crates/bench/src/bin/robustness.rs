@@ -15,7 +15,7 @@
 //! pool (0 = one per core); the output is bit-identical for any count.
 
 use oaq_bench::args::CliSpec;
-use oaq_bench::campaign::{campaign_json, run_grid_fanout, CellSpec, LossAxis};
+use oaq_bench::campaign::{campaign_json, e15_grid, grid, run_grid_fanout, LossAxis};
 
 fn main() {
     let cli = CliSpec::new("robustness")
@@ -39,56 +39,28 @@ fn main() {
     let workers = cli.get_usize("--workers", 1);
     let chunk = cli.get_chunk("--chunk");
 
-    let losses: Vec<LossAxis> = if quick {
-        vec![
-            LossAxis::Iid { p: 0.0 },
-            LossAxis::Iid { p: 0.2 },
-            LossAxis::Bursty {
-                marginal: 0.2,
-                burst_len: 5.0,
-            },
-        ]
+    let specs = if quick {
+        grid(
+            &[
+                LossAxis::Iid { p: 0.0 },
+                LossAxis::Iid { p: 0.2 },
+                LossAxis::Bursty {
+                    marginal: 0.2,
+                    burst_len: 5.0,
+                },
+            ],
+            &[0.0, 0.2],
+            &[0, 1, 3],
+        )
     } else {
-        vec![
-            LossAxis::Iid { p: 0.0 },
-            LossAxis::Iid { p: 0.05 },
-            LossAxis::Iid { p: 0.2 },
-            LossAxis::Iid { p: 0.4 },
-            LossAxis::Bursty {
-                marginal: 0.2,
-                burst_len: 3.0,
-            },
-            LossAxis::Bursty {
-                marginal: 0.2,
-                burst_len: 8.0,
-            },
-            LossAxis::Bursty {
-                marginal: 0.4,
-                burst_len: 5.0,
-            },
-        ]
+        e15_grid()
     };
-    let failure_rates: &[f64] = if quick { &[0.0, 0.2] } else { &[0.0, 0.1, 0.3] };
-    let budgets: &[u32] = &[0, 1, 3];
-
-    let total = losses.len() * failure_rates.len() * budgets.len();
+    let total = specs.len();
     eprintln!(
         "# robustness campaign: {total} cells x {episodes} episodes (seed {base_seed}{})",
         if quick { ", quick" } else { "" }
     );
 
-    let mut specs = Vec::with_capacity(total);
-    for loss in &losses {
-        for &rate in failure_rates {
-            for &budget in budgets {
-                specs.push(CellSpec {
-                    loss: *loss,
-                    node_failure_rate: rate,
-                    retry_budget: budget,
-                });
-            }
-        }
-    }
     let cells = run_grid_fanout(&specs, episodes, base_seed, workers, chunk);
     for (done, out) in cells.iter().enumerate() {
         eprintln!(

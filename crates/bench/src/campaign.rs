@@ -104,6 +104,54 @@ pub struct CellSpec {
     pub retry_budget: u32,
 }
 
+/// The cells of one grid: every loss process × node-failure rate × retry
+/// budget, loss outermost and budget innermost.
+#[must_use]
+pub fn grid(losses: &[LossAxis], failure_rates: &[f64], budgets: &[u32]) -> Vec<CellSpec> {
+    let mut specs = Vec::with_capacity(losses.len() * failure_rates.len() * budgets.len());
+    for &loss in losses {
+        for &node_failure_rate in failure_rates {
+            for &retry_budget in budgets {
+                specs.push(CellSpec {
+                    loss,
+                    node_failure_rate,
+                    retry_budget,
+                });
+            }
+        }
+    }
+    specs
+}
+
+/// The full 63-cell E15 grid: i.i.d. loss at 0, 5, 20 and 40 % plus three
+/// bursty processes, × node-failure rates 0, 0.1, 0.3 × retry budgets
+/// 0, 1, 3.
+#[must_use]
+pub fn e15_grid() -> Vec<CellSpec> {
+    grid(
+        &[
+            LossAxis::Iid { p: 0.0 },
+            LossAxis::Iid { p: 0.05 },
+            LossAxis::Iid { p: 0.2 },
+            LossAxis::Iid { p: 0.4 },
+            LossAxis::Bursty {
+                marginal: 0.2,
+                burst_len: 3.0,
+            },
+            LossAxis::Bursty {
+                marginal: 0.2,
+                burst_len: 8.0,
+            },
+            LossAxis::Bursty {
+                marginal: 0.4,
+                burst_len: 5.0,
+            },
+        ],
+        &[0.0, 0.1, 0.3],
+        &[0, 1, 3],
+    )
+}
+
 /// A replayable record of one guarantee violation.
 #[derive(Debug, Clone)]
 pub struct Violation {
@@ -185,7 +233,7 @@ pub fn episode_seed(base: u64, episode: u64) -> u64 {
 
 /// The failure plan drawn for one episode: `(sat, from, until)`, with
 /// `until = None` for permanent fail-silence.
-type FailurePlan = Vec<(usize, f64, Option<f64>)>;
+pub type FailurePlan = Vec<(usize, f64, Option<f64>)>;
 
 fn draw_plan(
     cfg: &ProtocolConfig,
@@ -228,7 +276,12 @@ fn stays_alive(plan: &FailurePlan, sat: usize, t0: f64, tau: f64) -> bool {
 
 /// The protocol configuration of one campaign cell (reference k = 10
 /// plane with the cell's fault mix applied).
-fn cell_config(spec: &CellSpec) -> ProtocolConfig {
+///
+/// # Panics
+///
+/// Panics on burst parameters outside the link model's range.
+#[must_use]
+pub fn cell_config(spec: &CellSpec) -> ProtocolConfig {
     cell_config_from(&ProtocolConfig::reference(10, Scheme::Oaq), spec)
 }
 
@@ -316,9 +369,10 @@ fn episode_setup(
     (seed, birth, duration, plan)
 }
 
-/// [`episode_setup`] writing the fault plan into a recycled buffer, so the
-/// campaign hot loop draws each episode's plan without allocating.
-fn episode_setup_into(
+/// Derives episode `i`'s `(seed, birth, duration)` from the campaign seed
+/// and writes its fault plan into a recycled buffer, so the campaign hot
+/// loop draws each episode's plan without allocating.
+pub fn episode_setup_into(
     cfg: &ProtocolConfig,
     spec: &CellSpec,
     base_seed: u64,

@@ -11,7 +11,9 @@
 use oaq_net::fault::FaultPlan;
 use oaq_net::link::LinkSpec;
 use oaq_net::topology::Topology;
-use oaq_net::{Envelope, Network, NodeId, ReliableLink, ReliableOutcome, SendOutcome};
+use oaq_net::{
+    EdgeLossStates, Envelope, Network, NodeId, ReliableLink, ReliableOutcome, SendOutcome,
+};
 use oaq_sim::{Context, EventQueue, Model, SimDuration, SimTime, Simulation};
 
 use crate::config::{ProtocolConfig, Scheme};
@@ -581,8 +583,10 @@ impl EpisodeModel {
                 self.detect(ctx);
             } else if now < self.t_end {
                 // Spurious wake-up (e.g. raced a failure); rescan.
-                let alive: Vec<bool> = (0..self.cfg.k).map(|j| self.alive(j, now)).collect();
-                if let Some(t) = self.geom.earliest_coverage(&alive, now, self.t_end) {
+                let next = self
+                    .geom
+                    .earliest_coverage(now, self.t_end, |j| self.alive(j, now));
+                if let Some((t, _)) = next {
                     let covering_next = self.alive_covering_summary(t).1;
                     if let Some(s) = covering_next {
                         ctx.schedule_at(SimTime::new(t), Ev::Arrival { sat: s });
@@ -689,17 +693,12 @@ impl Model for EpisodeModel {
                 if self.alive_covering_summary(now).0 > 0 {
                     self.detect(ctx);
                 } else {
-                    let alive: Vec<bool> = (0..self.cfg.k).map(|j| self.alive(j, now)).collect();
-                    if let Some(t) = self.geom.earliest_coverage(&alive, now, self.t_end) {
-                        // Identify which satellite arrives at t to tag the event.
-                        let sat = (0..self.cfg.k)
-                            .filter(|&j| alive[j])
-                            .min_by(|&a, &b| {
-                                let ta = self.geom.next_arrival(a, now);
-                                let tb = self.geom.next_arrival(b, now);
-                                ta.partial_cmp(&tb).expect("finite")
-                            })
-                            .expect("earliest_coverage implies a live satellite");
+                    // No live satellite covers now, so the earliest live
+                    // coverage is the first live arrival; it tags the event.
+                    let next = self
+                        .geom
+                        .earliest_coverage(now, self.t_end, |j| self.alive(j, now));
+                    if let Some((t, sat)) = next {
                         ctx.schedule_at(SimTime::new(t), Ev::Arrival { sat });
                     }
                     // No coverage before the signal dies: the target escapes.
@@ -738,7 +737,8 @@ struct EpisodeStatics {
 ///
 /// Holds the coverage geometry and crosslink topology (immutable during a
 /// run, so value-identical to a fresh build) plus the per-satellite state
-/// vectors, all recycled across episodes instead of reallocated. Results
+/// vectors, the fault plan, the per-edge loss states and the event queue,
+/// all recycled across episodes instead of reallocated. Results
 /// are bit-identical with or without scratch reuse — the buffers are
 /// capacity, not state.
 #[derive(Debug, Default)]
@@ -748,6 +748,7 @@ pub struct EpisodeScratch {
     tried: Vec<Vec<usize>>,
     deliveries: Vec<Delivery>,
     faults: FaultPlan,
+    loss: EdgeLossStates,
     queue: EventQueue<Ev>,
 }
 
@@ -828,6 +829,10 @@ impl Episode {
         self.failures.clear();
         self.failure_windows.clear();
         self.outages.clear();
+        // Room for one failure per satellite in either list, so re-arming
+        // a campaign episode never grows them.
+        self.failures.reserve(cfg.k);
+        self.failure_windows.reserve(cfg.k);
     }
 
     /// Schedules satellite `sat` to go fail-silent at `time` (minutes).
@@ -1038,6 +1043,8 @@ impl Episode {
         // buffers) and repopulated from this episode's schedule.
         let mut faults = std::mem::take(&mut scratch.faults);
         faults.clear();
+        let windows = self.failures.len() + self.failure_windows.len();
+        faults.reserve(windows.max(self.cfg.k), self.outages.len());
         for &(sat, time) in &self.failures {
             faults.fail_at(NodeId(sat as u32), SimTime::new(time));
         }
@@ -1052,17 +1059,23 @@ impl Episode {
                 SimTime::new(until),
             );
         }
-        let net = Network::new(topology, link).with_faults(faults);
+        let net = Network::new(topology, link)
+            .with_faults(faults)
+            .with_loss_states(std::mem::take(&mut scratch.loss));
         // Per-satellite vectors recycled from the scratch: cleared and
         // re-initialized in place, keeping their capacity.
         let mut sats = std::mem::take(&mut scratch.sats);
         sats.clear();
         sats.resize(self.cfg.k, SatelliteState::new());
+        // A satellite only ever requests distinct recruits within
+        // `max_skip` ring positions, so reserving that many up front keeps
+        // a satellite's first request from growing its list mid-run.
         let mut tried = std::mem::take(&mut scratch.tried);
+        tried.resize_with(self.cfg.k, Vec::new);
         for v in &mut tried {
             v.clear();
+            v.reserve(max_skip);
         }
-        tried.resize_with(self.cfg.k, Vec::new);
         let mut deliveries = std::mem::take(&mut scratch.deliveries);
         deliveries.clear();
 
@@ -1081,7 +1094,12 @@ impl Episode {
             trace: if traced { Some(Vec::new()) } else { None },
             cfg: self.cfg,
         };
-        let mut sim = Simulation::with_queue(model, self.seed, std::mem::take(&mut scratch.queue));
+        // The protocol only cancels done-wait timeouts, which a satellite
+        // holds one at a time: room for one per satellite keeps the
+        // cancellation list from growing mid-run.
+        let mut queue = std::mem::take(&mut scratch.queue);
+        queue.reserve_cancellations(self.cfg.k);
+        let mut sim = Simulation::with_queue(model, self.seed, queue);
         sim.schedule_at(SimTime::new(t_birth), Ev::SignalStart);
         sim.run_to_completion();
         let (model, queue) = sim.into_parts();
@@ -1103,8 +1121,9 @@ impl Episode {
         // episode (deliveries follow once the outcome is computed).
         scratch.sats = sats;
         scratch.tried = tried;
-        let (topology, faults) = net.into_parts();
+        let (topology, faults, loss) = net.into_parts();
         scratch.faults = faults;
+        scratch.loss = loss;
         scratch.statics = Some(EpisodeStatics {
             key: statics_key,
             max_skip,

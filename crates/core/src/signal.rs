@@ -13,6 +13,24 @@
 //! `new` constructor is the evenly-phased single-plane special case the
 //! analytic model evaluates.
 
+/// `x % theta`, bit for bit, without the libm `fmod` call in the common
+/// case: episode times put `t − offset` in `(−θ, 2θ)` nearly always.
+/// Below θ in magnitude the remainder is `x` itself, and for
+/// `θ ≤ |x| < 2θ` it is `|x| − θ` carrying `x`'s sign, which Sterbenz's
+/// lemma makes exact (`fmod` is exact too, so both agree, signed zero at
+/// `x = −θ` included). Anything else, NaN and infinities among it, falls
+/// back to `%`.
+fn rem_theta(x: f64, theta: f64) -> f64 {
+    let a = x.abs();
+    if a < theta {
+        x
+    } else if a < 2.0 * theta {
+        (a - theta).copysign(x)
+    } else {
+        x % theta
+    }
+}
+
 /// Center-line coverage geometry of the satellites sweeping one target.
 ///
 /// Satellite `j` covers the target during `[offset_j + n·θ, offset_j +
@@ -131,7 +149,7 @@ impl CoverageGeometry {
     /// Phase of satellite `j`'s coverage pattern at time `t`:
     /// `(t − offset_j) mod θ`, in `[0, θ)`.
     fn phase(&self, sat: usize, t: f64) -> f64 {
-        let raw = (t - self.windows[sat].0) % self.theta;
+        let raw = rem_theta(t - self.windows[sat].0, self.theta);
         if raw < 0.0 {
             raw + self.theta
         } else {
@@ -224,24 +242,34 @@ impl CoverageGeometry {
         }
     }
 
-    /// The earliest instant in `[from, until]` at which any satellite in
-    /// `alive` covers the target, or `None`.
+    /// The earliest instant in `[from, until]` at which a satellite
+    /// accepted by `keep` covers the target, with that satellite, or
+    /// `None`. A satellite already covering at `from` counts from `from`;
+    /// ties go to the lowest index.
+    ///
+    /// One pass over the satellites, each phase computed once; `keep` (a
+    /// fault query, typically) only runs for a satellite that would beat
+    /// the best instant found so far.
     #[must_use]
-    pub fn earliest_coverage(&self, alive: &[bool], from: f64, until: f64) -> Option<f64> {
-        assert_eq!(alive.len(), self.k(), "alive mask length mismatch");
-        let mut best: Option<f64> = None;
-        for (j, &is_alive) in alive.iter().enumerate() {
-            if !is_alive {
-                continue;
-            }
-            let t = if self.is_covering(j, from) {
+    pub fn earliest_coverage<F: Fn(usize) -> bool>(
+        &self,
+        from: f64,
+        until: f64,
+        keep: F,
+    ) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        for (j, &(_, dur)) in self.windows.iter().enumerate() {
+            let p = self.phase(j, from);
+            // Not covering means `p ≥ dur > 0`, so this is `next_arrival`.
+            let t = if p < dur {
                 from
             } else {
-                self.next_arrival(j, from)
+                from + (self.theta - p)
             };
-            if t <= until {
-                best = Some(best.map_or(t, |b: f64| b.min(t)));
+            if t > until || best.is_some_and(|(b, _)| t >= b) || !keep(j) {
+                continue;
             }
+            best = Some((t, j));
         }
         best
     }
@@ -288,6 +316,56 @@ impl CoverageGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `rem_theta` against the libm remainder, bit for bit.
+    fn same_as_fmod(x: f64, theta: f64) -> Result<(), TestCaseError> {
+        let (got, want) = (rem_theta(x, theta), x % theta);
+        prop_assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "x = {x:e}, θ = {theta:e}: {got:e} vs fmod {want:e}"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn phase_reduction_matches_fmod_bit_for_bit(
+            theta in 85.0f64..130.0,
+            u in -4.0f64..4.0,
+            t in 0.0f64..400.0,
+            offset in 0.0f64..130.0,
+        ) {
+            // Orbit periods of Walker-like planes are non-integer minutes.
+            same_as_fmod(u * theta, theta)?;
+            // The shape the protocol produces: an event time minus an offset.
+            same_as_fmod(t - offset, theta)?;
+            // The boundaries of each branch and their neighbours.
+            for edge in [theta, 2.0 * theta, 0.0] {
+                for x in [edge, edge.next_up(), edge.next_down()] {
+                    same_as_fmod(x, theta)?;
+                    same_as_fmod(-x, theta)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phase_reduction_falls_back_outside_two_periods() {
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -7.5 * 90.0,
+        ] {
+            let (got, want) = (rem_theta(x, 90.0), x % 90.0);
+            assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+        }
+    }
 
     fn reference(k: usize) -> CoverageGeometry {
         CoverageGeometry::new(k, 90.0, 9.0)
@@ -338,19 +416,34 @@ mod tests {
     #[test]
     fn earliest_coverage_skips_dead_satellites() {
         let g = reference(9);
-        let mut alive = vec![true; 9];
+        let mut alive = [true; 9];
         // In the gap at t = 9.5, next coverage is sat 1 at t = 10.
-        assert_eq!(g.earliest_coverage(&alive, 9.5, 50.0), Some(10.0));
+        assert_eq!(
+            g.earliest_coverage(9.5, 50.0, |j| alive[j]),
+            Some((10.0, 1))
+        );
         alive[1] = false;
-        assert_eq!(g.earliest_coverage(&alive, 9.5, 50.0), Some(20.0));
-        assert_eq!(g.earliest_coverage(&[false; 9], 9.5, 50.0), None);
+        assert_eq!(
+            g.earliest_coverage(9.5, 50.0, |j| alive[j]),
+            Some((20.0, 2))
+        );
+        assert_eq!(g.earliest_coverage(9.5, 50.0, |_| false), None);
     }
 
     #[test]
     fn earliest_coverage_respects_horizon() {
         let g = reference(9);
-        let alive = vec![true; 9];
-        assert_eq!(g.earliest_coverage(&alive, 9.5, 9.9), None);
+        assert_eq!(g.earliest_coverage(9.5, 9.9, |_| true), None);
+    }
+
+    #[test]
+    fn earliest_coverage_counts_covering_sats_from_now_lowest_index_first() {
+        let g = reference(12); // Tr = 7.5, Tc = 9: sats 0 and 1 cover t = 8
+        assert_eq!(g.earliest_coverage(8.0, 50.0, |_| true), Some((8.0, 0)));
+        assert_eq!(g.earliest_coverage(8.0, 50.0, |j| j != 0), Some((8.0, 1)));
+        // Two satellites with one offset arrive together: the lower wins.
+        let twin = CoverageGeometry::with_offsets(vec![30.0, 10.0, 10.0], 90.0, 9.0);
+        assert_eq!(twin.earliest_coverage(0.0, 50.0, |_| true), Some((10.0, 1)));
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub struct FailureWindow {
 impl FailureWindow {
     /// `true` while the window covers `now`.
     #[must_use]
+    #[inline]
     pub fn covers(&self, now: SimTime) -> bool {
         self.from <= now && self.until.is_none_or(|u| now < u)
     }
@@ -103,7 +104,17 @@ impl FaultPlan {
         self.outages.clear();
     }
 
+    /// Makes room for at least `windows` failure windows and `outages`
+    /// edge outages in total without reallocating.
+    pub fn reserve(&mut self, windows: usize, outages: usize) {
+        self.windows
+            .reserve(windows.saturating_sub(self.windows.len()));
+        self.outages
+            .reserve(outages.saturating_sub(self.outages.len()));
+    }
+
     /// The index range of `node`'s windows in the sorted flat vector.
+    #[inline]
     fn node_range(&self, node: NodeId) -> std::ops::Range<usize> {
         let lo = self.windows.partition_point(|e| e.0 .0 < node.0);
         let hi = lo + self.windows[lo..].partition_point(|e| e.0 .0 == node.0);
@@ -170,6 +181,7 @@ impl FaultPlan {
 
     /// `true` if any of `node`'s failure windows covers `now`.
     #[must_use]
+    #[inline]
     pub fn is_failed(&self, node: NodeId, now: SimTime) -> bool {
         let range = self.node_range(node);
         self.windows[range].iter().any(|e| e.1.covers(now))

@@ -59,7 +59,7 @@ pub mod topology;
 
 pub use link::{validate_loss_probability, GilbertElliott, InvalidLossProbability, LossModel};
 pub use message::{Envelope, NodeId};
-pub use network::{Network, NetworkStats, SendOutcome};
+pub use network::{EdgeLossStates, Network, NetworkStats, SendOutcome};
 pub use reliable::{ReliableLink, ReliableOutcome, ReliableStats, RetryPolicy};
 pub use schedule::{LinkEvent, TopologySchedule};
 pub use topology::{BfsScratch, Topology};

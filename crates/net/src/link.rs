@@ -296,6 +296,7 @@ impl LinkSpec {
     }
 
     /// Samples one message delay.
+    #[inline]
     pub fn sample_delay(&self, rng: &mut SimRng) -> SimDuration {
         if self.min_delay == self.max_delay {
             return SimDuration::new(self.min_delay);

@@ -1,7 +1,5 @@
 //! The network facade: topology + links + faults + delivery accounting.
 
-use std::collections::HashMap;
-
 use oaq_sim::{SimRng, SimTime};
 
 use crate::fault::FaultPlan;
@@ -76,6 +74,45 @@ impl NetworkStats {
     }
 }
 
+/// The loss-channel states of a network's edges: one [`LossState`] per
+/// undirected edge, created in the good state on the edge's first sample.
+///
+/// A flat vector sorted by edge. A run touches a handful of edges, so a
+/// binary search beats hashing, and [`Network::with_loss_states`] clears
+/// a spent store but keeps its buffer for the next run.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeLossStates {
+    /// `((lower id, higher id), state)`, ascending by edge.
+    edges: Vec<((NodeId, NodeId), LossState)>,
+}
+
+impl EdgeLossStates {
+    /// An empty store.
+    #[must_use]
+    pub fn new() -> Self {
+        EdgeLossStates::default()
+    }
+
+    /// Forgets every edge's state, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.edges.clear();
+    }
+
+    /// The state of the undirected edge `{a, b}`, starting in the good
+    /// state on first use.
+    pub(crate) fn state_mut(&mut self, a: NodeId, b: NodeId) -> &mut LossState {
+        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let i = match self.edges.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.edges.insert(i, (key, LossState::new()));
+                i
+            }
+        };
+        &mut self.edges[i].1
+    }
+}
+
 /// A simulated crosslink network.
 ///
 /// See the [crate-level example](crate) for usage. The type parameter `P` is
@@ -86,9 +123,9 @@ pub struct Network<P> {
     link: LinkSpec,
     faults: FaultPlan,
     stats: NetworkStats,
-    /// Per-edge loss-channel state (burst chains), keyed by the normalized
-    /// undirected edge. Empty until an edge first carries traffic.
-    loss_states: HashMap<(NodeId, NodeId), LossState>,
+    /// Per-edge loss-channel state (burst chains). Empty until an edge
+    /// first carries traffic over a bursty link.
+    loss_states: EdgeLossStates,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -101,7 +138,7 @@ impl<P> Network<P> {
             link,
             faults: FaultPlan::new(),
             stats: NetworkStats::default(),
-            loss_states: HashMap::new(),
+            loss_states: EdgeLossStates::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -110,6 +147,17 @@ impl<P> Network<P> {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
+        self
+    }
+
+    /// Keeps the per-edge loss states in `states`' buffer, e.g. one
+    /// recycled from [`Network::into_parts`]. Whatever it held is
+    /// discarded: every edge still starts in the good state, as with
+    /// [`Network::new`].
+    #[must_use]
+    pub fn with_loss_states(mut self, mut states: EdgeLossStates) -> Self {
+        states.clear();
+        self.loss_states = states;
         self
     }
 
@@ -131,11 +179,12 @@ impl<P> Network<P> {
         self.topology
     }
 
-    /// Consumes the network, returning the topology *and* the fault plan so
-    /// callers can recycle both sets of buffers across episodes.
+    /// Consumes the network, returning the topology, the fault plan and the
+    /// per-edge loss states so callers can recycle all three sets of
+    /// buffers across episodes.
     #[must_use]
-    pub fn into_parts(self) -> (Topology, FaultPlan) {
-        (self.topology, self.faults)
+    pub fn into_parts(self) -> (Topology, FaultPlan, EdgeLossStates) {
+        (self.topology, self.faults, self.loss_states)
     }
 
     /// The link model shared by all links.
@@ -166,15 +215,15 @@ impl<P> Network<P> {
     /// the reliable layer to model ACK loss on the reverse path.
     pub(crate) fn sample_edge_loss(&mut self, a: NodeId, b: NodeId, rng: &mut SimRng) -> bool {
         // I.i.d. loss carries no per-edge state, so the hot path skips the
-        // map probe; the RNG draw discipline is identical to
+        // store probe; the RNG draw discipline is identical to
         // `LossState::sample` in i.i.d. mode (at most one draw, none when
         // `p == 0`).
         if let LossModel::Iid { p } = *self.link.loss_model() {
             return p > 0.0 && rng.chance(p);
         }
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        let state = self.loss_states.entry(key).or_default();
-        state.sample(self.link.loss_model(), rng)
+        self.loss_states
+            .state_mut(a, b)
+            .sample(self.link.loss_model(), rng)
     }
 
     /// Attempts to send `payload` from `src` to `dst` at time `now`.
@@ -509,6 +558,51 @@ mod tests {
         }
         let cond = f64::from(after_lost) / f64::from(after);
         assert!(cond > 1.5 * marginal, "cond {cond} vs marginal {marginal}");
+    }
+
+    #[test]
+    fn edge_loss_states_are_undirected_and_start_good() {
+        let stuck_bad = LossModel::GilbertElliott(crate::link::GilbertElliott {
+            enter_burst: 1.0,
+            exit_burst: 0.0,
+            loss_good: 0.0,
+            loss_bad: 1.0,
+        });
+        let mut states = EdgeLossStates::new();
+        assert!(!states.state_mut(NodeId(3), NodeId(1)).in_burst());
+        states
+            .state_mut(NodeId(1), NodeId(3))
+            .sample(&stuck_bad, &mut SimRng::seed_from(1));
+        assert!(states.state_mut(NodeId(3), NodeId(1)).in_burst());
+        assert!(!states.state_mut(NodeId(1), NodeId(2)).in_burst());
+        states.clear();
+        assert!(!states.state_mut(NodeId(3), NodeId(1)).in_burst());
+    }
+
+    #[test]
+    fn recycled_loss_states_replay_a_fresh_network() {
+        let ge = crate::link::GilbertElliott::bursts(0.2, 4.0, 0.9).unwrap();
+        let link = LinkSpec::new(0.02, 0.1)
+            .unwrap()
+            .with_bursty_loss(ge)
+            .unwrap();
+        let run = |n: &mut Network<u32>| -> Vec<bool> {
+            let mut rng = SimRng::seed_from(23);
+            (0..300u32)
+                .map(|i| {
+                    let (a, b) = (NodeId(i % 6), NodeId((i + 1) % 6));
+                    n.send(a, b, 0, SimTime::ZERO, &mut rng).is_delivered()
+                })
+                .collect()
+        };
+        let mut fresh: Network<u32> = Network::new(Topology::ring(6), link);
+        let first = run(&mut fresh);
+        // The spent store holds burst states; recycling must forget them.
+        let (topology, faults, states) = fresh.into_parts();
+        let mut recycled: Network<u32> = Network::new(topology, link)
+            .with_faults(faults)
+            .with_loss_states(states);
+        assert_eq!(run(&mut recycled), first);
     }
 
     #[test]

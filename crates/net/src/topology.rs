@@ -1,11 +1,10 @@
 //! Crosslink topologies.
 //!
-//! [`Topology`] stores the undirected adjacency structure in CSR style:
-//! a sorted id table plus one sorted neighbor row per node. Lookups are
-//! binary searches and the hot accessors ([`Topology::neighbors`],
+//! [`Topology`] stores the undirected adjacency structure as a sorted id
+//! table plus one sorted neighbor row per node. Lookups are binary
+//! searches and the hot accessors ([`Topology::neighbors`],
 //! [`Topology::nodes`]) return borrowed slices, so BFS and protocol loops
-//! run without per-call allocation. The historical `Vec`-returning API
-//! survives as `*_vec` compatibility wrappers.
+//! run without per-call allocation.
 
 use std::collections::VecDeque;
 
@@ -97,7 +96,8 @@ impl Topology {
         t
     }
 
-    /// Slot of `id` in the CSR tables, if known.
+    /// Slot of `id` in the id table, if known.
+    #[inline]
     fn slot(&self, id: NodeId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
@@ -148,6 +148,7 @@ impl Topology {
 
     /// `true` when `a` and `b` share a link.
     #[must_use]
+    #[inline]
     pub fn are_linked(&self, a: NodeId, b: NodeId) -> bool {
         self.slot(a)
             .is_some_and(|s| self.adj[s].binary_search(&b).is_ok())

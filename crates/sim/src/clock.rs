@@ -42,6 +42,7 @@ impl SimTime {
     ///
     /// Panics if `minutes` is negative, NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn new(minutes: f64) -> Self {
         assert!(
             minutes.is_finite() && minutes >= 0.0,
@@ -74,6 +75,7 @@ impl SimDuration {
     ///
     /// Panics if `minutes` is negative, NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn new(minutes: f64) -> Self {
         assert!(
             minutes.is_finite() && minutes >= 0.0,
@@ -98,6 +100,7 @@ impl SimDuration {
 impl Eq for SimTime {}
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Finiteness is a constructor invariant, so partial_cmp cannot fail.
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
@@ -105,6 +108,7 @@ impl Ord for SimTime {
 }
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -128,12 +132,14 @@ impl PartialOrd for SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime::new(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }

@@ -195,10 +195,12 @@ impl<M: Model> Simulation<M> {
                     return RunOutcome::BudgetSpent;
                 }
             }
-            let Some(next_time) = self.queue.peek_time() else {
-                return RunOutcome::Exhausted;
-            };
+            // Only a horizon needs the next time before popping; without
+            // one, peeking would probe the cancellations twice per event.
             if let Some(h) = horizon {
+                let Some(next_time) = self.queue.peek_time() else {
+                    return RunOutcome::Exhausted;
+                };
                 if next_time > h {
                     // Leave the event pending; advance the clock to the horizon
                     // so time-weighted statistics can be closed out there.
@@ -206,22 +208,30 @@ impl<M: Model> Simulation<M> {
                     return RunOutcome::HorizonReached;
                 }
             }
-            let (time, event) = self.queue.pop().expect("peeked event must pop");
-            self.clock = time;
-            self.dispatched += 1;
-            spent += 1;
-            let mut stop = false;
-            let mut ctx = Context {
-                now: self.clock,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stop_requested: &mut stop,
+            let Some((time, event)) = self.queue.pop() else {
+                return RunOutcome::Exhausted;
             };
-            self.model.handle(event, &mut ctx);
-            if stop {
+            spent += 1;
+            if self.dispatch(time, event) {
                 return RunOutcome::Stopped;
             }
         }
+    }
+
+    /// Advances the clock to `time` and hands `event` to the model.
+    /// Returns `true` when the model asked to stop.
+    fn dispatch(&mut self, time: SimTime, event: M::Event) -> bool {
+        self.clock = time;
+        self.dispatched += 1;
+        let mut stop = false;
+        let mut ctx = Context {
+            now: self.clock,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            stop_requested: &mut stop,
+        };
+        self.model.handle(event, &mut ctx);
+        stop
     }
 }
 

@@ -87,6 +87,13 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
     }
 
+    /// Reserves room for `additional` cancelled-but-not-yet-skipped
+    /// entries, so a run that never has more than that many outstanding
+    /// does not grow the cancellation list mid-run.
+    pub fn reserve_cancellations(&mut self, additional: usize) {
+        self.cancelled.reserve(additional);
+    }
+
     /// Schedules `payload` at `time`, returning a cancellation handle.
     pub fn push(&mut self, time: SimTime, payload: E) -> EventHandle {
         let seq = self.next_seq;
